@@ -375,40 +375,28 @@ def _trace_graph_entry(name: str, scale: float, graph) -> dict:
 
 
 def _make_service(args, catalog, *, recorder=None):
-    """Build the serve tier the flags ask for: plain or sharded.
+    """Build the service every serve mode (synthetic, trace, HTTP) runs.
 
-    ``--shards N`` (N >= 1) switches every serve mode — synthetic,
-    trace replay, HTTP — to the scatter-gather
-    :class:`~repro.service.sharding.ShardedAnalyticsService`, with
-    ``--shard-remote``/``--quota``/``--priority``/``--route`` layering
-    remote executors and tenant policy on top (docs/sharding.md).
+    ``--quota``/``--priority`` become the service's
+    :class:`~repro.service.tenancy.TenantPolicy`, so they apply on
+    either backend and through every entry point.
     """
-    from repro.service import AnalyticsService
-
-    kwargs = dict(
-        workers=args.workers, backend=args.backend,
-        queue_size=args.queue_size, default_timeout_s=args.timeout,
-        recorder=recorder,
-    )
-    shards = getattr(args, "shards", 0) or 0
-    if shards <= 0:
-        return AnalyticsService(catalog, **kwargs)
     from repro.service import (
-        RoutingPolicy,
-        ShardedAnalyticsService,
-        parse_host_port,
+        AnalyticsService,
+        TenantPolicy,
         parse_priority_arg,
         parse_quota_arg,
     )
 
-    policy = RoutingPolicy(
+    tenants = TenantPolicy(
         quotas=dict(parse_quota_arg(v) for v in (args.quota or ())),
         priorities=dict(parse_priority_arg(v) for v in (args.priority or ())),
-        route=args.route,
     )
-    remotes = tuple(parse_host_port(v) for v in (args.shard_remote or ()))
-    return ShardedAnalyticsService(
-        catalog, shards=shards, shard_remotes=remotes, policy=policy, **kwargs
+    return AnalyticsService(
+        catalog,
+        workers=args.workers, backend=args.backend,
+        queue_size=args.queue_size, default_timeout_s=args.timeout,
+        recorder=recorder, tenants=tenants,
     )
 
 
@@ -591,26 +579,6 @@ def cmd_serve(args) -> int:
         print(f"recorded {recorder.requests_recorded} request(s) / "
               f"{recorder.results_recorded} digest(s) to {args.record}")
     return 0 if ok == len(results) else 1
-
-
-def cmd_shard_host(args) -> int:
-    """``shard-host``: serve shard slices to a remote sharded service."""
-    from repro.service import ShardHostServer, parse_host_port
-
-    host, port = parse_host_port(args.listen)
-    server = ShardHostServer((host, port))
-    bound = f"{server.server_address[0]}:{server.server_address[1]}"
-    print(f"shard host listening on {bound}; Ctrl-C exits", flush=True)
-    if args.ready_file:
-        with open(args.ready_file, "w", encoding="utf-8") as fh:
-            fh.write(bound + "\n")
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
-    return 0
 
 
 def cmd_calibrate(args) -> int:
@@ -810,13 +778,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="engine kernel backend: auto (cost model), numpy, "
                         "or a JIT backend like cjit/numba (docs/kernels.md); "
                         "default: $REPRO_KERNEL_BACKEND or auto")
-    p.add_argument("--shards", type=int, default=0, metavar="N",
-                   help="scatter-gather shardable analytics across N shard "
-                        "executors (0 = single engine; docs/sharding.md)")
-    p.add_argument("--shard-remote", action="append", default=None,
-                   metavar="HOST:PORT",
-                   help="host shard i on a running 'repro shard-host' "
-                        "(repeatable; remaining shards run in-process)")
     p.add_argument("--quota", action="append", default=None,
                    metavar="TENANT=RATE[:BURST]",
                    help="token-bucket admission quota for one tenant "
@@ -826,11 +787,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="priority class for one tenant: interactive, "
                         "default, batch, or an integer (lower runs sooner; "
                         "repeatable)")
-    p.add_argument("--route", choices=("sharded", "single", "auto"),
-                   default="sharded",
-                   help="with --shards: always scatter-gather, never, or "
-                        "let the cost model decide per batch (default "
-                        "sharded)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scale", type=float, default=1.0)
     p.set_defaults(func=cmd_serve)
@@ -874,18 +830,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-suppress", action="store_true",
                    help="report findings even on '# analyze: ignore' lines")
     p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser(
-        "shard-host",
-        help="host shard executors for a remote 'serve --shards' tier",
-    )
-    p.add_argument("--listen", default="127.0.0.1:0", metavar="HOST:PORT",
-                   help="bind address (port 0 picks a free one; default "
-                        "127.0.0.1:0)")
-    p.add_argument("--ready-file", default=None, metavar="PATH",
-                   help="write the bound HOST:PORT to PATH once listening "
-                        "(lets scripts use port 0 without a race)")
-    p.set_defaults(func=cmd_shard_host)
 
     p = sub.add_parser(
         "calibrate",

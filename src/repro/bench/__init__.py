@@ -42,7 +42,6 @@ from repro.bench.service import (
     service_throughput,
     service_trace_replay,
 )
-from repro.bench.sharded import sharded_scaling
 from repro.bench.sweeps import reordering_comparison, skew_sweep
 from repro.bench.tables import (
     table1_split_properties,
@@ -79,7 +78,6 @@ __all__ = [
     "service_backend_sweep",
     "service_throughput",
     "service_trace_replay",
-    "sharded_scaling",
     "multisource_lanes",
     "kernel_backends",
     "skew_sweep",

@@ -36,7 +36,6 @@ from repro.bench import (
     service_backend_sweep,
     service_throughput,
     service_trace_replay,
-    sharded_scaling,
     skew_sweep,
     speedup_scaling,
     table1_split_properties,
@@ -78,7 +77,6 @@ EXPERIMENTS = {
     "service-backends": lambda scale: service_backend_sweep(scale=scale),
     "service-trace": lambda scale: service_trace_replay(scale=scale),
     "cache-policy": lambda scale: cache_policy(scale=scale),
-    "sharded": lambda scale: sharded_scaling(scale=scale),
     "multisource": lambda scale: multisource_lanes(scale=scale),
     "kernels": lambda scale: kernel_backends(scale=scale),
 }

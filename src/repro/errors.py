@@ -91,9 +91,10 @@ class ServiceOverloadError(ServiceError):
 class QuotaExhaustedError(ServiceOverloadError):
     """A tenant spent its admission quota; the request was refused.
 
-    Raised by the sharded serving tier's routing policy
-    (:class:`repro.service.routing.RoutingPolicy`) when a tenant's
-    token bucket is empty.  Per-tenant overload is distinct from
+    Raised when a request is submitted to
+    :class:`repro.service.executor.AnalyticsService` and its tenant's
+    token bucket (:class:`repro.service.tenancy.TenantPolicy`) is
+    empty.  Per-tenant overload is distinct from
     service-wide overload so front ends can map it to HTTP 429 (the
     *client* must slow down) instead of 503 (the *service* is busy);
     ``retry_after_s`` says when the bucket will hold a token again.
@@ -146,28 +147,6 @@ class WorkerLost(ServiceError):
         self.batch_size = int(batch_size)
         detail = f" ({batch_size} request(s) affected)" if batch_size else ""
         super().__init__(f"worker lost: {reason}{detail}")
-
-
-class ShardLost(WorkerLost):
-    """A shard executor died or became unreachable mid-query.
-
-    The sharded tier's analogue of :class:`WorkerLost`: raised when an
-    in-process shard executor errors or a remote shard host drops its
-    connection during a scatter-gather superstep.  The sharded router
-    catches it and degrades to an unsharded single-engine run (results
-    then carry ``degraded=True``), mirroring the process backend's
-    inline-retry contract.  Subclasses :class:`WorkerLost` so blanket
-    worker-failure handlers keep working.
-    """
-
-    def __init__(self, reason: str, *, shard: int = -1, batch_size: int = 0) -> None:
-        self.reason = reason
-        self.shard = int(shard)
-        self.batch_size = int(batch_size)
-        where = f"shard {shard}" if shard >= 0 else "shard"
-        detail = f" ({batch_size} request(s) affected)" if batch_size else ""
-        # Skip WorkerLost.__init__: same attributes, shard-aware message.
-        ServiceError.__init__(self, f"{where} lost: {reason}{detail}")
 
 
 class TraceFormatError(ServiceError):

@@ -20,8 +20,6 @@ from repro.multigpu.partition import (
     MirroredPartition,
     Partition,
     hash_partition,
-    inedge_owner,
-    inedge_partition,
     mirror_count,
     partition_balance,
     powerlyra_partition,
@@ -34,8 +32,6 @@ __all__ = [
     "Partition",
     "range_partition",
     "hash_partition",
-    "inedge_owner",
-    "inedge_partition",
     "powerlyra_partition",
     "MirroredPartition",
     "mirror_count",

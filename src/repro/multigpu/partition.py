@@ -93,58 +93,6 @@ def range_partition(graph: CSRGraph, num_devices: int) -> List[Partition]:
     return _build(graph, owner, num_devices)
 
 
-def inedge_owner(graph: CSRGraph, num_devices: int) -> np.ndarray:
-    """Destination ownership by (approximately) equal *in*-edge counts.
-
-    The gather-side dual of :func:`range_partition`: boundaries sit on
-    the cumulative indegree curve, so each device owns a contiguous
-    destination range receiving ~|E|/D edges.  Returns the per-node
-    owner array; :func:`inedge_partition` and the sharded serving tier
-    (:mod:`repro.service.sharding`) build edge slices from it with
-    ``owner[dst]`` membership, which makes every node's *complete*
-    in-edge set land on exactly one device — the property that lets a
-    scatter-gather reduce preserve per-destination results bitwise.
-    """
-    if num_devices < 1:
-        raise GraphError("num_devices must be >= 1")
-    n = graph.num_nodes
-    owner = np.zeros(n, dtype=np.int64)
-    if n:
-        cumulative = np.cumsum(graph.in_degrees())
-        total = int(cumulative[-1]) if len(cumulative) else 0
-        if total:
-            targets = np.arange(1, num_devices) * (total / num_devices)
-            boundaries = np.searchsorted(cumulative, targets)
-            owner = np.searchsorted(boundaries, np.arange(n), side="right")
-        else:
-            owner = (np.arange(n) * num_devices) // max(n, 1)
-    return owner
-
-
-def inedge_partition(graph: CSRGraph, num_devices: int) -> List[Partition]:
-    """Contiguous destination ranges with ~equal in-edge counts.
-
-    Edges follow their *destination*'s owner (``owner[dst]``), unlike
-    :func:`range_partition`'s source ownership: each device holds every
-    in-edge of the nodes it owns and nothing else, so destination
-    updates never cross devices.
-    """
-    owner = inedge_owner(graph, num_devices)
-    src, dst, weights = graph.to_coo()
-    edge_owner = owner[dst] if len(dst) else np.zeros(0, dtype=np.int64)
-    partitions = []
-    for device in range(num_devices):
-        keep = edge_owner == device
-        subgraph = from_arrays(
-            src[keep], dst[keep],
-            None if weights is None else weights[keep],
-            num_nodes=graph.num_nodes,
-        )
-        owned = np.flatnonzero(owner == device).astype(NODE_DTYPE)
-        partitions.append(Partition(device=device, owned=owned, subgraph=subgraph))
-    return partitions
-
-
 def hash_partition(graph: CSRGraph, num_devices: int) -> List[Partition]:
     """Round-robin node ownership (id modulo device count)."""
     if num_devices < 1:

@@ -33,13 +33,10 @@ graph library's value is its reusable runtime, not its kernels alone):
   trace-replaying client), speaking the same trace-v1 wire schema;
   see ``docs/http-api.md``.  Imported lazily — ``import
   repro.service.api`` — so non-network users pay nothing for it;
-* :mod:`repro.service.sharding` / :mod:`repro.service.routing` —
-  the sharded serving tier: destination-partitioned shard executors
-  (in-process or remote over ``tcp://``), a scatter-gather router
-  whose per-algorithm reduces keep result digests bitwise-identical
-  to the single-engine path, and a policy layer with per-tenant
-  token quotas, priority classes, and cost-model-aware route
-  selection (``serve --shards N``); see ``docs/sharding.md``.
+* :mod:`repro.service.tenancy` — per-tenant token-bucket quotas and
+  priority classes (:class:`TenantPolicy`), charged and ordered by
+  :class:`AnalyticsService` on every submission
+  (``serve --quota``/``--priority``).
 
 CLI: ``python -m repro query`` (one-shot), ``python -m repro serve``
 (synthetic workload driver, trace-driven via ``--trace``/``--record``,
@@ -49,7 +46,6 @@ or the network front door via ``--http HOST:PORT``).
 from repro.errors import (
     QuotaExhaustedError,
     ServiceOverloadError,
-    ShardLost,
     UnknownGraphError,
     WorkerLost,
 )
@@ -103,21 +99,12 @@ from repro.service.replay import (
     replay_trace,
     resolve_trace_graphs,
 )
-from repro.service.routing import (
+from repro.service.tenancy import (
     PRIORITY_CLASSES,
-    RouteDecision,
-    RoutingPolicy,
+    TenantPolicy,
     TenantQuota,
     parse_priority_arg,
     parse_quota_arg,
-)
-from repro.service.sharding import (
-    LocalShard,
-    RemoteShardHandle,
-    ShardHostServer,
-    ShardSet,
-    ShardedAnalyticsService,
-    parse_host_port,
 )
 from repro.service.workers import BatchOutcome, BatchSpec, execute_pipeline
 
@@ -144,10 +131,8 @@ __all__ = [
     "load_artifact",
     "load_plan",
     "load_trace",
-    "LocalShard",
     "LruPolicy",
     "make_policy",
-    "parse_host_port",
     "parse_priority_arg",
     "parse_quota_arg",
     "parse_request_payload",
@@ -163,7 +148,6 @@ __all__ = [
     "QueryTicket",
     "QuotaExhaustedError",
     "record_trace",
-    "RemoteShardHandle",
     "replay_trace",
     "ReplayReport",
     "resolve_backend",
@@ -171,16 +155,11 @@ __all__ = [
     "resolve_policy",
     "resolve_trace_graphs",
     "result_digest",
-    "RouteDecision",
-    "RoutingPolicy",
     "save_plan",
     "ServiceMetrics",
     "ServiceOverloadError",
-    "ShardedAnalyticsService",
-    "ShardHostServer",
-    "ShardLost",
-    "ShardSet",
     "StageTimings",
+    "TenantPolicy",
     "TenantQuota",
     "Trace",
     "TRACE_VERSION",

@@ -17,7 +17,7 @@ import asyncio
 import time
 from typing import AsyncIterator, List, Sequence, Tuple
 
-from repro.errors import ServiceOverloadError
+from repro.errors import QuotaExhaustedError, ServiceOverloadError
 from repro.service.executor import AnalyticsService, QueryTicket
 from repro.service.query import QueryRequest, QueryResult
 
@@ -38,13 +38,17 @@ async def submit_batch_async(
     sleeps on the loop with exponential backoff and retries until
     ``max_wait_s`` is spent, then re-raises the overload (the server
     maps it to 503 + ``Retry-After``).  ``max_wait_s=0`` is a pure
-    admission probe — one attempt, no waiting.
+    admission probe — one attempt, no waiting.  A tenant's
+    :class:`QuotaExhaustedError` is re-raised at once: waiting out the
+    caller's own budget here would turn its 429 into a slow 200.
     """
     deadline = time.monotonic() + max_wait_s
     delay = POLL_FLOOR_S
     while True:
         try:
             return service.submit_batch(list(requests), block=False)
+        except QuotaExhaustedError:
+            raise
         except ServiceOverloadError:
             remaining = deadline - time.monotonic()
             if remaining <= 0:

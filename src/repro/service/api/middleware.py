@@ -12,8 +12,9 @@ handlers never look at an ``Authorization`` header or a token bucket
 — the same policy-vs-mechanism split the executor keeps between
 dispatch and degradation.
 
-``RateLimit`` is a classic token bucket per client key: the
-authenticated token when present, else the peer address.  Buckets
+``RateLimit`` is a classic token bucket per client key (the
+:class:`~repro.service.tenancy.TokenBucket` tenant quotas use too):
+the authenticated token when present, else the peer address.  Buckets
 refill continuously at ``rate`` per second up to ``burst``; a request
 arriving to an empty bucket is answered ``429`` with a
 ``Retry-After`` hint of the time until the next whole token.
@@ -21,13 +22,13 @@ arriving to an empty bucket is answered ``429`` with a
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Awaitable, Callable, Dict, Iterable, Optional
 
 from repro.service.api.http import HttpRequest, Response
 from repro.service.api.protocol import error_payload
 from repro.service.metrics import ServiceMetrics
+from repro.service.tenancy import TokenBucket
 
 #: a route handler / the continuation each middleware wraps.
 Handler = Callable[[HttpRequest], Awaitable[object]]
@@ -116,20 +117,16 @@ class RateLimit(Middleware):
         self.burst = float(burst)
         self.metrics = metrics
         self.clock = clock
-        self._lock = threading.Lock()
-        self._buckets: Dict[str, tuple] = {}  # key -> (tokens, stamp)
+        self._buckets: Dict[str, TokenBucket] = {}
 
     def _take(self, key: str) -> float:
         """Try to spend one token; 0.0 on success, else seconds to wait."""
-        now = self.clock()
-        with self._lock:
-            tokens, stamp = self._buckets.get(key, (self.burst, now))
-            tokens = min(self.burst, tokens + (now - stamp) * self.rate)
-            if tokens >= 1.0:
-                self._buckets[key] = (tokens - 1.0, now)
-                return 0.0
-            self._buckets[key] = (tokens, now)
-            return (1.0 - tokens) / self.rate
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            bucket = self._buckets.setdefault(
+                key, TokenBucket(self.rate, self.burst, clock=self.clock)
+            )
+        return bucket.take()
 
     async def __call__(self, request: HttpRequest, nxt: Handler):
         if request.path in UNAUTHENTICATED_PATHS:

@@ -31,6 +31,10 @@ Design points, each of which the tests pin down:
 * **backpressure** — the queue is bounded; a non-blocking submit
   against a full queue raises :class:`~repro.errors.ServiceError`
   instead of buffering without limit;
+* **tenancy** — each submission is charged against its tenant's
+  token quota (:class:`~repro.errors.QuotaExhaustedError` when the
+  bucket is empty), and the queue drains by tenant priority class,
+  FIFO within a class (:mod:`repro.service.tenancy`);
 * **batching** — :meth:`submit_batch` coalesces same-graph requests
   into one plan + one artifact resolution + one deduplicated source
   fan-out (see :mod:`repro.service.batching`); a batch crosses the
@@ -65,6 +69,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import (
+    QuotaExhaustedError,
     ServiceError,
     ServiceOverloadError,
     TigrError,
@@ -77,6 +82,7 @@ from repro.service.catalog import GraphCatalog
 from repro.service.ingest import TraceRecorder
 from repro.service.metrics import QueryRecord, ServiceMetrics
 from repro.service.query import QueryRequest, QueryResult, StageTimings
+from repro.service.tenancy import PriorityWorkQueue, TenantPolicy
 from repro.service.workers import (
     BatchOutcome,
     BatchSpec,
@@ -489,6 +495,10 @@ class AnalyticsService:
         every resolved ticket as a result line carrying the answer's
         digest.  Also attachable/detachable at runtime
         (:meth:`attach_recorder` / :meth:`detach_recorder`).
+    tenants:
+        A :class:`~repro.service.tenancy.TenantPolicy` of per-tenant
+        quotas and priority classes; the default meters nobody and
+        ranks everything equal (plain FIFO).
     """
 
     def __init__(
@@ -502,6 +512,7 @@ class AnalyticsService:
         mp_context: Optional[str] = None,
         process_fallback: bool = True,
         recorder: Optional[TraceRecorder] = None,
+        tenants: Optional[TenantPolicy] = None,
     ) -> None:
         if workers < 1:
             raise ServiceError(f"need at least one worker, got {workers}")
@@ -517,8 +528,11 @@ class AnalyticsService:
         self.default_timeout_s = default_timeout_s
         self.process_fallback = bool(process_fallback)
         self._recorder = recorder
+        self.tenants = tenants if tenants is not None else TenantPolicy()
         self._graphs: Dict[str, CSRGraph] = {}
-        self._queue: "queue.Queue[Optional[_WorkItem]]" = self._make_queue(queue_size)
+        self._queue: "queue.Queue[Optional[_WorkItem]]" = PriorityWorkQueue(
+            queue_size, lambda item: self.tenants.rank(item.batch.requests)
+        )
         self._stopped = False
         self._shared_tmp: Optional[str] = None
         self._process: Optional[_ProcessBackend] = None
@@ -560,16 +574,6 @@ class AnalyticsService:
         front-end's memory tier.
         """
         return self._process.artifacts_dir if self._process is not None else None
-
-    def _make_queue(self, queue_size: int) -> "queue.Queue[Optional[_WorkItem]]":
-        """Build the submission queue; the subclass discipline hook.
-
-        The base service is strictly FIFO.  The sharded tier
-        (:mod:`repro.service.sharding`) overrides this with a priority
-        queue so its routing policy's priority classes order admission
-        — everything else about submission and dispatch is shared.
-        """
-        return queue.Queue(maxsize=queue_size)
 
     # ------------------------------------------------------------------
     # Graph registry
@@ -624,11 +628,22 @@ class AnalyticsService:
         deduplicated sources; each still gets its own ticket and its
         own :class:`QueryResult`.  Tickets are returned in request
         order.
+
+        Each request first charges one token against its tenant's
+        quota; the first refusal raises :class:`QuotaExhaustedError`
+        for the whole submission (tokens already charged for earlier
+        members stay spent — the caller is over budget either way).
         """
         if self._stopped:
             raise ServiceError("service is stopped")
         if not requests:
             return []
+        try:
+            for request in requests:
+                self.tenants.admit(request)
+        except QuotaExhaustedError:
+            self.metrics.quota_rejected_observed()
+            raise
         requests = [self._with_default_timeout(r) for r in requests]
         recorder = self._recorder
         if recorder is not None:
@@ -885,15 +900,12 @@ class AnalyticsService:
             )
 
     def _run_batch(self, batch: QueryBatch, remaining_s: float) -> BatchOutcome:
-        """Execute one coalesced batch; the subclass execution hook.
+        """Execute one coalesced batch on the configured backend.
 
         Everything around it — claiming, queue-deadline expiry,
         fan-out, ticket resolution, metrics attribution — is shared;
-        only *where the pipeline runs* differs between backends.  The
-        base implementation is the thread/process choice; the sharded
-        router (:class:`repro.service.sharding.ShardedAnalyticsService`)
-        overrides it to try the scatter-gather path first and falls
-        back here.
+        only *where the pipeline runs* differs between the thread and
+        process backends.
         """
         if self._process is not None:
             return self._execute_on_processes(batch, remaining_s)

@@ -112,15 +112,7 @@ class ServiceMetrics:
         #: replay verification counters (zero outside replay runs).
         self.replay_digests_checked = 0
         self.replay_digest_mismatches = 0
-        #: sharded-tier counters (all zero on unsharded services).
-        self.shards = 0
-        self.sharded_batches = 0
-        self.shard_supersteps = 0
-        self.shard_fallbacks = 0
-        self.shard_exchange_bytes = 0
-        #: supersteps executed per shard id (the shard tag).
-        self.shard_steps: Dict[int, int] = {}
-        #: routing-policy counters (zero without a policy attached).
+        #: tenant-quota admission refusals (zero without quotas).
         self.quota_rejected = 0
 
     # ------------------------------------------------------------------
@@ -204,33 +196,6 @@ class ServiceMetrics:
         with self._lock:
             self.replay_digests_checked += int(checked)
             self.replay_digest_mismatches += int(mismatched)
-
-    def sharded_observed(
-        self,
-        *,
-        supersteps: int = 0,
-        exchange_bytes: int = 0,
-        per_shard_steps: Optional[Dict[int, int]] = None,
-    ) -> None:
-        """Account one batch executed through the scatter-gather router."""
-        with self._lock:
-            self.sharded_batches += 1
-            self.shard_supersteps += int(supersteps)
-            self.shard_exchange_bytes += int(exchange_bytes)
-            for shard, steps in (per_shard_steps or {}).items():
-                self.shard_steps[int(shard)] = (
-                    self.shard_steps.get(int(shard), 0) + int(steps)
-                )
-
-    def shards_configured(self, shards: int) -> None:
-        """Record the sharded tier's topology (called once at startup)."""
-        with self._lock:
-            self.shards = int(shards)
-
-    def shard_fallback_observed(self) -> None:
-        """Account one :class:`ShardLost` degradation to the single path."""
-        with self._lock:
-            self.shard_fallbacks += 1
 
     def quota_rejected_observed(self) -> None:
         """Account one tenant-quota admission refusal."""
@@ -342,17 +307,8 @@ class ServiceMetrics:
                 "trace_results": self.trace_results,
                 "replay_digests_checked": self.replay_digests_checked,
                 "replay_digest_mismatches": self.replay_digest_mismatches,
-                # sharded-tier telemetry; identically zero unless a
-                # ShardedAnalyticsService owns these metrics.
-                "shards": self.shards,
-                "sharded_batches": self.sharded_batches,
-                "shard_supersteps": self.shard_supersteps,
-                "shard_fallbacks": self.shard_fallbacks,
-                "shard_exchange_bytes": self.shard_exchange_bytes,
                 "quota_rejected": self.quota_rejected,
             }
-            for shard in sorted(self.shard_steps):
-                out[f"shard{shard}_steps"] = self.shard_steps[shard]
             percentiles = {
                 stage: {
                     f"p{int(f * 100)}": percentile(samples, f)
