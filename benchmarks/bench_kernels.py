@@ -1,8 +1,8 @@
-"""JIT kernel backends must beat scalar numpy without changing a bit.
+"""The ``cjit`` kernel backend must beat scalar numpy without changing a bit.
 
-The acceptance bar for the kernel-backend registry: at least one
-(algorithm, graph) cell runs at least 2x faster warm under a JIT
-backend than under the numpy baseline, every cell is **bitwise
+The acceptance bar for the compiled kernels: at least one
+(algorithm, graph) cell runs at least 2x faster warm under ``cjit``
+than under the numpy baseline, every cell is **bitwise
 identical** to the baseline, and the backend actually engaged (a
 fallback to the numpy path must not masquerade as a JIT timing).
 Warm-JIT and compile-included costs are reported separately in the
@@ -21,8 +21,8 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "results")
 
 
 def test_kernel_backends(run_once, bench_scale):
-    if not kernels.jit_backends():
-        pytest.skip("no JIT kernel backend available on this machine")
+    if not kernels.CJIT_BACKEND.is_available():
+        pytest.skip("no C compiler for the cjit kernel backend")
     report = run_once(kernel_backends, scale=bench_scale)
     print()
     print(report.to_text())

@@ -181,24 +181,22 @@ def _parse_sources(args, graph: CSRGraph):
     return sources
 
 
+#: ``--kernel-backend`` values: the cost model's pick, or one backend.
+KERNEL_BACKEND_CHOICES = ("auto", "numpy", "cjit")
+
+
 def _apply_kernel_backend(args) -> None:
     """Pin the engine kernel backend for this process tree.
 
     The service builds its own :class:`EngineOptions` deep inside the
     worker pool, so the CLI flag travels as ``$REPRO_KERNEL_BACKEND``
     — the engines' documented fallback — which process workers inherit
-    at spawn.  Validated eagerly so a typo fails before any work runs.
+    at spawn.  argparse restricts the flag to
+    :data:`KERNEL_BACKEND_CHOICES`, so a typo fails before any work runs.
     """
     choice = getattr(args, "kernel_backend", None)
     if choice is None:
         return
-    from repro.engine import kernels
-
-    if choice != "auto" and choice not in kernels.registered_backends():
-        known = ", ".join(("auto",) + kernels.registered_backends())
-        raise TigrError(
-            f"unknown kernel backend {choice!r}; known: {known}"
-        )
     os.environ["REPRO_KERNEL_BACKEND"] = choice
 
 
@@ -689,9 +687,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "processes hydrate from)")
     p.add_argument("--stats", action="store_true",
                    help="print service metrics after the run")
-    p.add_argument("--kernel-backend", default=None, metavar="NAME",
+    p.add_argument("--kernel-backend", choices=KERNEL_BACKEND_CHOICES,
+                   default=None,
                    help="engine kernel backend: auto (cost model), numpy, "
-                        "or a JIT backend like cjit/numba (docs/kernels.md); "
+                        "or the C JIT cjit (docs/kernels.md); "
                         "default: $REPRO_KERNEL_BACKEND or auto")
     p.add_argument("--catalog-policy", choices=("lru", "gdsf"), default=None,
                    help="artifact-cache eviction policy (default: "
@@ -774,9 +773,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "immediately while warming in the background; "
                         "ignored with --http, where /v1/healthz reports "
                         "progress instead)")
-    p.add_argument("--kernel-backend", default=None, metavar="NAME",
+    p.add_argument("--kernel-backend", choices=KERNEL_BACKEND_CHOICES,
+                   default=None,
                    help="engine kernel backend: auto (cost model), numpy, "
-                        "or a JIT backend like cjit/numba (docs/kernels.md); "
+                        "or the C JIT cjit (docs/kernels.md); "
                         "default: $REPRO_KERNEL_BACKEND or auto")
     p.add_argument("--quota", action="append", default=None,
                    metavar="TENANT=RATE[:BURST]",

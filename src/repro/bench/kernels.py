@@ -1,23 +1,24 @@
-"""Scalar numpy vs JIT kernel backends across the core analytics.
+"""Scalar numpy vs the ``cjit`` kernel backend across the core analytics.
 
-Not a paper table — this experiment certifies the kernel-backend
-registry (:mod:`repro.engine.kernels`) the way the multisource bench
-certifies the lane engine: every JIT backend must produce **bitwise
-identical** results to the numpy baseline while actually being faster,
-else the whole subsystem is risk without reward.
+Not a paper table — this experiment certifies the compiled kernels
+(:mod:`repro.engine.kernels`) the way the multisource bench certifies
+the lane engine: ``cjit`` must produce **bitwise identical** results
+to the numpy baseline while actually being faster, else it is risk
+without reward.
 
-Rows sweep (graph, algorithm); one column pair per available JIT
-backend gives the warm wall time and the speedup over numpy.  Warm
-timings exclude the one-time backend setup (compile or shared-library
-load), which is reported separately in the extras — a JIT that only
-wins by amortising its compile over many runs must say so.
+Rows sweep (graph, algorithm); the ``cjit_s``/``cjit_x``/``cjit_equal``
+columns give the warm wall time, the speedup over numpy and the parity
+check.  Warm timings exclude the one-time setup (compile or
+shared-library load), which is reported separately in the extras — a
+JIT that only wins by amortising its compile over many runs must say
+so.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -69,7 +70,7 @@ def _time_backend(
 def _cold_compile_seconds() -> float:
     """Wall seconds for a from-scratch cjit compile.
 
-    The registered backend caches its shared library on disk *and* in
+    The shared backend caches its shared library on disk *and* in
     the process, so a fresh instance pointed at an empty cache dir is
     the only honest way to measure the compile-included cost.
     """
@@ -101,12 +102,12 @@ def kernel_backends(
     seed: int = 7,
     repeats: int = 3,
 ) -> ExperimentReport:
-    """Numpy baseline vs every available JIT backend, per analytic.
+    """Numpy baseline vs ``cjit`` (when a C compiler exists), per analytic.
 
-    Per (graph, algorithm) row: the numpy wall time, then one
-    ``<backend>_s`` / ``<backend>_x`` pair per JIT backend (warm
-    timings, bitwise-checked).  Extras carry the one-time costs
-    (``<backend>_first_run_s``, ``cjit_compile_s``) and the headline
+    Per (graph, algorithm) row: the numpy wall time, then the
+    ``cjit_s`` / ``cjit_x`` / ``cjit_equal`` columns (warm timings,
+    bitwise-checked).  Extras carry the one-time costs
+    (``cjit_first_run_s``, ``cjit_compile_s``) and the headline
     ``best_jit_speedup``.
     """
     n = max(256, int(num_nodes * scale))
@@ -117,27 +118,26 @@ def kernel_backends(
             weight_range=(1.0, 8.0),
         ),
     }
-    jits = [name for name in kernels.available_backends() if name != "numpy"]
+    has_cjit = kernels.CJIT_BACKEND.is_available()
     report = ExperimentReport(
         "Kernel backends",
-        "scalar numpy vs JIT kernel backends "
-        f"(available: {', '.join(['numpy'] + jits)}), warm timings, "
-        "bitwise-checked",
+        "scalar numpy vs the cjit kernel backend"
+        + ("" if has_cjit else " (unavailable: no C compiler)")
+        + ", warm timings, bitwise-checked",
     )
 
-    # One-time setup per JIT backend (compile or .so load), measured on
-    # a tiny graph so the engine work itself is noise.
-    tiny = rmat(256, 2048, seed=seed, weight_range=(1.0, 8.0))
-    for name in jits:
+    if has_cjit:
+        # One-time setup (compile or .so load), measured on a tiny graph
+        # so the engine work itself is noise.
+        tiny = rmat(256, 2048, seed=seed, weight_range=(1.0, 8.0))
         start = time.perf_counter()
-        _run("sssp", tiny, EngineOptions(kernel_backend=name))
-        report.extras[f"{name}_first_run_s"] = time.perf_counter() - start
-    if "cjit" in jits:
+        _run("sssp", tiny, EngineOptions(kernel_backend="cjit"))
+        report.extras["cjit_first_run_s"] = time.perf_counter() - start
         report.extras["cjit_compile_s"] = _cold_compile_seconds()
 
     all_equal = True
     all_engaged = True
-    best_speedup: Dict[str, float] = {name: 0.0 for name in jits}
+    best_speedup = 0.0
     for graph_name, weighted_graph in graphs.items():
         hop_graph = weighted_graph.without_weights()
         for algorithm in ALGORITHMS:
@@ -150,25 +150,21 @@ def kernel_backends(
                 "algorithm": algorithm,
                 "numpy_s": base_s,
             }
-            for name in jits:
+            if has_cjit:
                 values, jit_s, engaged = _time_backend(
-                    algorithm, graph, name, repeats
+                    algorithm, graph, "cjit", repeats
                 )
                 equal = bool(np.array_equal(base_values, values))
                 all_equal = all_equal and equal
                 all_engaged = all_engaged and engaged > 0
                 speedup = base_s / jit_s if jit_s > 0 else float("inf")
-                best_speedup[name] = max(best_speedup[name], speedup)
-                row[f"{name}_s"] = jit_s
-                row[f"{name}_x"] = speedup
-                row[f"{name}_equal"] = equal
+                best_speedup = max(best_speedup, speedup)
+                row.update(cjit_s=jit_s, cjit_x=speedup, cjit_equal=equal)
             report.add_row(**row)
 
     report.extras["all_bitwise_equal"] = all_equal
     report.extras["all_jit_engaged"] = all_engaged
-    for name in jits:
-        report.extras[f"{name}_best_speedup"] = best_speedup[name]
-    report.extras["best_jit_speedup"] = max(
-        best_speedup.values(), default=0.0
-    )
+    if has_cjit:
+        report.extras["cjit_best_speedup"] = best_speedup
+    report.extras["best_jit_speedup"] = best_speedup
     return report

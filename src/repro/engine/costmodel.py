@@ -5,7 +5,7 @@ are machine- and graph-dependent: lane-parallel multi-source passes vs
 a scalar loop (``results/multisource-lanes.json`` shows lanes *losing*
 below ~8 sources, and never winning for sssp), push vs pull direction
 switching (``AdaptiveOptions.pull_threshold``), and the scalar numpy
-path vs a JIT kernel backend (:mod:`repro.engine.kernels`).  Instead
+path vs the ``cjit`` kernel backend (:mod:`repro.engine.kernels`).  Instead
 of hard-coded heuristics, this module calibrates a small per-machine
 profile once and turns each choice into a measured prediction keyed on
 (algorithm, n, m, degree profile, source count).
@@ -229,24 +229,17 @@ class CalibrationProfile:
     def choose_kernel_backend(
         self, *, edges: int, candidates: Sequence[str]
     ) -> str:
-        """The backend predicted fastest for a graph of ``edges`` edges.
+        """``"cjit"`` when it is predicted faster than numpy, else ``"numpy"``.
 
-        Small graphs stay on numpy (per-launch dispatch overhead
-        swamps the win); otherwise the measured edge throughputs rank
-        the available candidates.  An available backend the profile
-        never measured (e.g. numba installed after calibration) is
-        assumed 2x numpy until a recalibration measures it.
+        ``cjit`` wins only when it is among the available
+        ``candidates``, the graph has at least :attr:`jit_min_edges`
+        edges (below that, per-launch dispatch overhead swamps the
+        win), and its measured edge throughput beats numpy's.
         """
-        names = [c for c in candidates if c != "numpy"]
-        if not names or edges < self.jit_min_edges:
+        if "cjit" not in candidates or edges < self.jit_min_edges:
             return "numpy"
-        numpy_eps = self.backend_edges_per_s.get("numpy", 0.0)
-        best, best_eps = "numpy", numpy_eps
-        for name in names:
-            eps = self.backend_edges_per_s.get(name, 2.0 * numpy_eps)
-            if eps > best_eps:
-                best, best_eps = name, eps
-        return best
+        eps = self.backend_edges_per_s
+        return "cjit" if eps.get("cjit", 0.0) > eps.get("numpy", 0.0) else "numpy"
 
     def _fit(self, algorithm: str) -> LaneFit:
         fit = self.lanes.get(algorithm)
@@ -557,7 +550,9 @@ def run_calibration(
 
     # -- kernel backend throughput (warm) ------------------------------
     backend_eps: Dict[str, float] = {}
-    for name in kernels.available_backends():
+    for name in ("numpy", "cjit"):
+        if not kernels.get_backend(name).is_available():
+            continue  # no C compiler: numpy only
         opts = EngineOptions(kernel_backend=name)
         run_push(sched, program, 0, options=opts)  # warm (JIT compiles)
         seconds = _best_of(repeats, lambda: run_push(

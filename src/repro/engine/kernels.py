@@ -1,4 +1,4 @@
-"""Pluggable kernel backends behind the Push/PullProgram API.
+"""Kernel backends behind the Push/PullProgram API: numpy and a C JIT.
 
 The engines' hot path is always the same shape: gather each active
 thread's edges, relax along every edge, and scatter-reduce candidates
@@ -11,13 +11,14 @@ and produces **bitwise identical** results because it performs the
 exact same float operations in the exact same order ``ufunc.at``
 would.
 
-Three backends are registered:
+Two backends exist:
 
 ``numpy``
     The scalar baseline: the engines' own vectorised code path.  Its
     ``try_*`` hooks all decline, so the engine falls through to the
-    canonical numpy implementation that every other backend is
-    measured (and parity-tested) against.
+    canonical numpy implementation that ``cjit`` is measured (and
+    parity-tested) against.  It is also the fallback wherever no C
+    compiler is available.
 ``cjit``
     Generates a small C source file covering every certified
     (relax-class, reduction) pair, compiles it once with the system C
@@ -26,16 +27,11 @@ Three backends are registered:
     :mod:`ctypes`.  Available wherever a C compiler is; the compile
     is amortised across every subsequent run in the process *and*
     across processes via the on-disk cache.
-``numba``
-    JIT-compiles the pure-Python reference kernels in this module
-    with :func:`numba.njit`.  Auto-detected: when numba is not
-    installed the backend reports unavailable and resolution falls
-    back gracefully.
 
 Backend choice is per engine run: ``EngineOptions.kernel_backend``
 wins, else ``$REPRO_KERNEL_BACKEND``, else ``"auto"`` — which asks
 the measured cost model (:mod:`repro.engine.costmodel`) whether the
-graph is big enough for a JIT kernel to pay for its call overhead.
+graph is big enough for ``cjit`` to pay for its call overhead.
 
 Safety gates (any failure falls back to numpy, never errors):
 
@@ -53,9 +49,8 @@ Safety gates (any failure falls back to numpy, never errors):
   relaxation re-reads values mid-launch, which only the buffered
   numpy path reproduces).
 
-Every registered backend must also declare a parity fixture in
-:data:`repro.core.applicability.KERNEL_BACKEND_EXPECTATIONS`; rule
-KERN001 of ``repro analyze --strict`` fails the build otherwise.
+Parity with numpy on every engine and certified program is asserted
+by ``tests/test_kernels.py``.
 """
 
 from __future__ import annotations
@@ -67,7 +62,7 @@ import shutil
 import subprocess
 import threading
 import warnings
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional
 
 import numpy as np
 
@@ -75,8 +70,7 @@ from repro.core.applicability import PROGRAM_EXPECTATIONS
 from repro.engine.program import PushProgram
 from repro.errors import EngineError
 
-#: relax-body codes shared by every compiled backend (and the pure
-#: Python reference kernels below).
+#: relax-body codes passed to the compiled kernels.
 RELAX_ADDITIVE = 0     # c = src + w   (w = 1.0 on unweighted graphs)
 RELAX_WIDEST = 1       # c = min(src, w)
 RELAX_PROPAGATION = 2  # c = src
@@ -131,111 +125,7 @@ def spec_for(program: PushProgram) -> Optional[KernelSpec]:
 
 
 # ----------------------------------------------------------------------
-# Pure-Python reference kernels
-# ----------------------------------------------------------------------
-# These loops define, operation for operation, what every compiled
-# backend must do.  The numba backend JIT-compiles them directly; the
-# C backend is a transliteration.  They match the engines' vectorised
-# numpy path bitwise: the gather order is thread-by-thread in strided
-# slot order (exactly `strided_ranges_to_indices`), and the fold is
-# the same comparison / addition `ufunc.at` applies element-wise.
-
-def _push_kernel(v, rv, phys, counts, starts, strides, targets, w,
-                 has_w, relax, reduce_):
-    for t in range(phys.shape[0]):
-        s = rv[phys[t]]
-        b = starts[t]
-        st = strides[t]
-        for j in range(counts[t]):
-            e = b + j * st
-            if relax == 0:
-                c = s + (w[e] if has_w else 1.0)
-            elif relax == 1:
-                c = min(s, w[e])
-            else:
-                c = s
-            d = targets[e]
-            if reduce_ == 0:
-                if c < v[d]:
-                    v[d] = c
-            elif reduce_ == 1:
-                if c > v[d]:
-                    v[d] = c
-            else:
-                v[d] += c
-
-
-def _pull_kernel(v, rv, own, counts, starts, strides, in_sources, w,
-                 has_w, relax, reduce_):
-    for t in range(own.shape[0]):
-        o = own[t]
-        b = starts[t]
-        st = strides[t]
-        for j in range(counts[t]):
-            e = b + j * st
-            s = rv[in_sources[e]]
-            if relax == 0:
-                c = s + (w[e] if has_w else 1.0)
-            elif relax == 1:
-                c = min(s, w[e])
-            else:
-                c = s
-            if reduce_ == 0:
-                if c < v[o]:
-                    v[o] = c
-            elif reduce_ == 1:
-                if c > v[o]:
-                    v[o] = c
-            else:
-                v[o] += c
-
-
-def _push_lanes_kernel(vt, rvt, phys, counts, starts, strides, targets, w,
-                       has_w, relax, reduce_):
-    lanes = vt.shape[0]
-    for lane in range(lanes):
-        v = vt[lane]
-        rv = rvt[lane]
-        for t in range(phys.shape[0]):
-            s = rv[phys[t]]
-            b = starts[t]
-            st = strides[t]
-            for j in range(counts[t]):
-                e = b + j * st
-                if relax == 0:
-                    c = s + (w[e] if has_w else 1.0)
-                elif relax == 1:
-                    c = min(s, w[e])
-                else:
-                    c = s
-                d = targets[e]
-                if reduce_ == 0:
-                    if c < v[d]:
-                        v[d] = c
-                elif reduce_ == 1:
-                    if c > v[d]:
-                        v[d] = c
-                else:
-                    v[d] += c
-
-
-def _or_kernel(new_w, frontier_w, phys, counts, starts, strides, targets):
-    for t in range(phys.shape[0]):
-        bits = frontier_w[phys[t]]
-        b = starts[t]
-        st = strides[t]
-        for j in range(counts[t]):
-            e = b + j * st
-            new_w[targets[e]] |= bits
-
-
-def _edge_mul_add_kernel(out, values, src, dst, scale):
-    for e in range(src.shape[0]):
-        out[dst[e]] += values[src[e]] * scale[e]
-
-
-# ----------------------------------------------------------------------
-# Backend base class and registry
+# Backend base class
 # ----------------------------------------------------------------------
 def _i64(a: np.ndarray) -> bool:
     return a.dtype == np.int64 and a.flags.c_contiguous
@@ -254,13 +144,13 @@ class KernelBackend:
 
     The base class *is* the ``numpy`` backend: every ``try_*`` hook
     declines, which makes the engines run their canonical vectorised
-    path.  Compiled backends override the hooks and return ``True``
-    when they handled the launch; any gate failure returns ``False``
-    and the engine falls back — so a backend can never change
-    results, only speed.
+    path.  :class:`CJitBackend` overrides the hooks and returns
+    ``True`` when it handled the launch; any gate failure returns
+    ``False`` and the engine falls back — so the backend can never
+    change results, only speed.
     """
 
-    #: registry key; must appear in KERNEL_BACKEND_EXPECTATIONS.
+    #: lookup key (``--kernel-backend``, ``$REPRO_KERNEL_BACKEND``).
     name = "numpy"
     #: whether this backend JIT-compiles kernels.
     jit = False
@@ -269,8 +159,6 @@ class KernelBackend:
         #: launches handled by compiled kernels (parity tests assert
         #: the fused path actually engaged).
         self.engaged = 0
-        #: launches declined to the numpy path.
-        self.declined = 0
 
     def is_available(self) -> bool:
         return True
@@ -319,91 +207,15 @@ class KernelBackend:
         return True
 
 
-_REGISTRY: Dict[str, KernelBackend] = {}
-_REGISTRY_LOCK = threading.Lock()
-
-
-def register_backend(backend: KernelBackend) -> KernelBackend:
-    """Add a backend instance to the registry (idempotent by name)."""
-    with _REGISTRY_LOCK:
-        _REGISTRY[backend.name] = backend
-    return backend
-
-
-def registered_backends() -> Tuple[str, ...]:
-    """Every registered backend name, available or not."""
-    with _REGISTRY_LOCK:
-        return tuple(sorted(_REGISTRY))
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Backend names that can actually run on this machine."""
-    with _REGISTRY_LOCK:
-        items = list(_REGISTRY.items())
-    return tuple(sorted(n for n, b in items if b.is_available()))
-
-
-def get_backend(name: str) -> KernelBackend:
-    """The registered backend, availability unchecked.
-
-    Raises :class:`~repro.errors.EngineError` for unknown names (a
-    typo in ``--kernel-backend`` should fail loudly, not silently run
-    the scalar path).
-    """
-    with _REGISTRY_LOCK:
-        backend = _REGISTRY.get(name)
-    if backend is None:
-        raise EngineError(
-            f"unknown kernel backend {name!r}; registered: "
-            + ", ".join(registered_backends())
-        )
-    return backend
-
-
-_warned_unavailable: set = set()
-
-
-def resolve_backend(
-    name: Optional[str] = None, *, edges: Optional[int] = None
-) -> KernelBackend:
-    """Pick the backend for one engine run.
-
-    ``name`` (usually ``EngineOptions.kernel_backend``) wins, then
-    ``$REPRO_KERNEL_BACKEND``, then ``"auto"``.  ``auto`` asks the
-    measured cost model which backend minimises predicted kernel time
-    for a graph of ``edges`` edges.  A requested-but-unavailable
-    backend (numba not installed, no C compiler) warns once and falls
-    back to numpy — results are identical either way, so degrading is
-    always safe.
-    """
-    if name is None:
-        name = os.environ.get("REPRO_KERNEL_BACKEND") or "auto"
-    if name == "auto":
-        from repro.engine import costmodel
-
-        name = costmodel.get_profile().choose_kernel_backend(
-            edges=edges or 0, candidates=available_backends(),
-        )
-    backend = get_backend(name)
-    if not backend.is_available():
-        if name not in _warned_unavailable:
-            _warned_unavailable.add(name)
-            warnings.warn(
-                f"kernel backend {name!r} is unavailable "
-                f"({backend.availability_note()}); falling back to numpy",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return get_backend("numpy")
-    return backend
-
-
 # ----------------------------------------------------------------------
 # C backend (system compiler + ctypes)
 # ----------------------------------------------------------------------
-#: the C transliteration of the reference kernels.  One function per
-#: shape; relax/reduce arrive as int flags that gcc's loop unswitching
-#: hoists out of the hot loops at -O3.
+#: the compiled kernels.  One function per shape; relax/reduce arrive
+#: as int flags that gcc's loop unswitching hoists out of the hot loops
+#: at -O3.  They match the engines' vectorised numpy path bitwise: the
+#: gather order is thread-by-thread in strided slot order (exactly
+#: ``strided_ranges_to_indices``), and the fold is the same comparison
+#: / addition ``ufunc.at`` applies element-wise.
 _C_SOURCE = r"""
 #include <stdint.h>
 
@@ -493,14 +305,6 @@ void edge_mul_add(double* out, const double* values, const int64_t* src,
         out[dst[e]] += values[src[e]] * scale[e];
     }
 }
-
-void scatter_reduce(double* v, const int64_t* idx, const double* c,
-                    int64_t n, int reduce) {
-    int relax = 2; (void)relax;
-    for (int64_t i = 0; i < n; i++) {
-        FOLD(v, idx[i], c[i]);
-    }
-}
 """
 
 
@@ -528,6 +332,9 @@ class CJitBackend(KernelBackend):
         self._lib: Optional[ctypes.CDLL] = None
         self._failed: Optional[str] = None
         self._lock = threading.Lock()
+        #: the C compiler, probed once: a PATH search on every engine
+        #: run would cost more than the backend resolution it serves.
+        self._cc = _find_cc()
         #: wall seconds the one-time compile took (0 on cache hit).
         self.compile_seconds = 0.0
 
@@ -538,14 +345,14 @@ class CJitBackend(KernelBackend):
                 return True
             if self._failed is not None:
                 return False
-        return _find_cc() is not None
+        return self._cc is not None
 
     def availability_note(self) -> str:
         with self._lock:
             failed = self._failed
         if failed is not None:
             return failed
-        if _find_cc() is None:
+        if self._cc is None:
             return "no C compiler on PATH (set $CC or install gcc/clang)"
         return "available"
 
@@ -568,7 +375,7 @@ class CJitBackend(KernelBackend):
 
         from repro.engine.costmodel import cache_dir
 
-        cc = _find_cc()
+        cc = self._cc
         if cc is None:
             raise EngineError("no C compiler on PATH")
         digest = hashlib.sha256(
@@ -591,7 +398,7 @@ class CJitBackend(KernelBackend):
             self.compile_seconds = time.perf_counter() - started
         lib = ctypes.CDLL(lib_path)
         for fn in ("push_batch", "pull_batch", "push_lanes", "or_batch",
-                   "edge_mul_add", "scatter_reduce"):
+                   "edge_mul_add"):
             getattr(lib, fn).restype = None
         return lib
 
@@ -700,157 +507,67 @@ class CJitBackend(KernelBackend):
 
 
 # ----------------------------------------------------------------------
-# Numba backend
+# Lookup and per-run resolution
 # ----------------------------------------------------------------------
-class NumbaBackend(KernelBackend):
-    """The reference kernels JIT-compiled with :func:`numba.njit`.
+NUMPY_BACKEND = KernelBackend()
+CJIT_BACKEND = CJitBackend()
 
-    Optional: :meth:`is_available` probes for an importable numba
-    without importing it at module load.  Kernels compile lazily per
-    shape on first use; ``compile_seconds`` accumulates the one-time
-    cost so benches can report warm and compile-included timings
-    separately.
+#: the two backends, by name: the numpy baseline and the C JIT.
+_BACKENDS: Dict[str, KernelBackend] = {
+    "numpy": NUMPY_BACKEND,
+    "cjit": CJIT_BACKEND,
+}
+
+
+def get_backend(name: str) -> KernelBackend:
+    """The backend called ``name``, availability unchecked.
+
+    Raises :class:`~repro.errors.EngineError` for unknown names (a
+    typo in ``--kernel-backend`` should fail loudly, not silently run
+    the scalar path).
     """
-
-    name = "numba"
-    jit = True
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._kernels: Dict[str, object] = {}
-        self._failed: Optional[str] = None
-        self._lock = threading.Lock()
-        self.compile_seconds = 0.0
-
-    def is_available(self) -> bool:
-        with self._lock:
-            if self._kernels:
-                return True
-            if self._failed is not None:
-                return False
-        import importlib.util
-
-        try:
-            return importlib.util.find_spec("numba") is not None
-        except (ImportError, ValueError):
-            return False
-
-    def availability_note(self) -> str:
-        with self._lock:
-            failed = self._failed
-        if failed is not None:
-            return failed
-        return "numba is not installed (pip install numba)"
-
-    def _kernel(self, key: str, py_func):
-        with self._lock:
-            kernel = self._kernels.get(key)
-            if kernel is not None or self._failed is not None:
-                return kernel
-            try:
-                import time
-
-                import numba
-
-                started = time.perf_counter()
-                kernel = numba.njit(cache=False)(py_func)
-                self.compile_seconds += time.perf_counter() - started
-            except Exception as exc:
-                self._failed = f"numba unavailable: {exc}"
-                warnings.warn(
-                    f"numba backend disabled: {self._failed}",
-                    RuntimeWarning, stacklevel=2,
-                )
-                return None
-            self._kernels[key] = kernel
-        return kernel
-
-    _EMPTY_W = np.empty(0, dtype=np.float64)
-
-    def try_push(self, spec, values, read_values, batch, targets, weights) -> bool:
-        if not self._gate_common(spec, values, read_values, batch, weights):
-            return False
-        if not _i64(targets):
-            return False
-        kernel = self._kernel("push", _push_kernel)
-        if kernel is None:
-            return False
-        kernel(values, read_values, batch.phys, batch.counts, batch.starts,
-               batch.strides, targets,
-               weights if weights is not None else self._EMPTY_W,
-               weights is not None, spec.relax, spec.reduce)
-        self.engaged += 1
-        return True
-
-    def try_pull(self, spec, values, read_values, batch, in_sources, weights) -> bool:
-        if not self._gate_common(spec, values, read_values, batch, weights):
-            return False
-        if not _i64(in_sources):
-            return False
-        kernel = self._kernel("pull", _pull_kernel)
-        if kernel is None:
-            return False
-        kernel(values, read_values, batch.phys, batch.counts, batch.starts,
-               batch.strides, in_sources,
-               weights if weights is not None else self._EMPTY_W,
-               weights is not None, spec.relax, spec.reduce)
-        self.engaged += 1
-        return True
-
-    def try_push_lanes(self, spec, values_t, read_t, batch, targets, weights) -> bool:
-        if not self._gate_common(spec, values_t, read_t, batch, weights):
-            return False
-        if not _i64(targets) or values_t.ndim != 2:
-            return False
-        kernel = self._kernel("push_lanes", _push_lanes_kernel)
-        if kernel is None:
-            return False
-        kernel(values_t, read_t, batch.phys, batch.counts, batch.starts,
-               batch.strides, targets,
-               weights if weights is not None else self._EMPTY_W,
-               weights is not None, spec.relax, spec.reduce)
-        self.engaged += 1
-        return True
-
-    def try_or_scatter(self, new_w, frontier_w, batch, targets) -> bool:
-        if batch.phys is None:
-            return False
-        if not (_u64(new_w) and _u64(frontier_w) and _i64(batch.phys)
-                and _i64(batch.counts) and _i64(batch.starts)
-                and _i64(batch.strides) and _i64(targets)):
-            return False
-        if new_w.ndim != 1 or frontier_w.ndim != 1:
-            return False
-        kernel = self._kernel("or", _or_kernel)
-        if kernel is None:
-            return False
-        kernel(new_w, frontier_w, batch.phys, batch.counts, batch.starts,
-               batch.strides, targets)
-        self.engaged += 1
-        return True
-
-    def try_edge_mul_add(self, out, values, src, dst, scale) -> bool:
-        if not (_f64(out) and _f64(values) and _f64(scale)
-                and _i64(src) and _i64(dst)):
-            return False
-        kernel = self._kernel("edge_mul_add", _edge_mul_add_kernel)
-        if kernel is None:
-            return False
-        kernel(out, values, src, dst, scale)
-        self.engaged += 1
-        return True
+    backend = _BACKENDS.get(name)
+    if backend is None:
+        raise EngineError(
+            f"unknown kernel backend {name!r}; known: "
+            + ", ".join(_BACKENDS)
+        )
+    return backend
 
 
-#: the default registry: the scalar baseline plus both JIT backends.
-NUMPY_BACKEND = register_backend(KernelBackend())
-CJIT_BACKEND = register_backend(CJitBackend())
-NUMBA_BACKEND = register_backend(NumbaBackend())
+_warned_unavailable: set = set()
 
 
-def jit_backends() -> List[str]:
-    """Available backends that JIT-compile (cost-model candidates)."""
-    with _REGISTRY_LOCK:
-        items = list(_REGISTRY.items())
-    return sorted(
-        n for n, b in items if b.jit and b.is_available()
-    )
+def resolve_backend(
+    name: Optional[str] = None, *, edges: Optional[int] = None
+) -> KernelBackend:
+    """Pick the backend for one engine run.
+
+    ``name`` (usually ``EngineOptions.kernel_backend``) wins, then
+    ``$REPRO_KERNEL_BACKEND``, then ``"auto"``.  ``auto`` asks the
+    measured cost model whether ``cjit`` beats numpy on a graph of
+    ``edges`` edges.  A requested-but-unavailable ``cjit`` (no C
+    compiler, or a failed compile) warns once and falls back to numpy
+    — results are identical either way, so degrading is always safe.
+    """
+    if name is None:
+        name = os.environ.get("REPRO_KERNEL_BACKEND") or "auto"
+    if name == "auto":
+        from repro.engine import costmodel
+
+        name = costmodel.get_profile().choose_kernel_backend(
+            edges=edges or 0,
+            candidates=("cjit",) if _BACKENDS["cjit"].is_available() else (),
+        )
+    backend = get_backend(name)
+    if not backend.is_available():
+        if name not in _warned_unavailable:
+            _warned_unavailable.add(name)
+            warnings.warn(
+                f"kernel backend {name!r} is unavailable "
+                f"({backend.availability_note()}); falling back to numpy",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        return NUMPY_BACKEND
+    return backend

@@ -22,7 +22,7 @@ import numpy as np
 from repro.core.types import TransformResult, TransformStats
 from repro.core.virtual import VirtualGraph
 from repro.core.weights import DumbWeight
-from repro.errors import ServiceError
+from repro.errors import GraphError, ServiceError
 from repro.graph.csr import CSRGraph, NODE_DTYPE
 
 #: transform kinds the catalog understands.  ``none`` is never cached
@@ -214,7 +214,13 @@ class TransformArtifact:
 
 
 def load_artifact(path: str) -> TransformArtifact:
-    """Reload an artifact spilled by :meth:`TransformArtifact.save_npz`."""
+    """Reload an artifact spilled by :meth:`TransformArtifact.save_npz`.
+
+    The file is untrusted input (a truncated or tampered spill must not
+    reach the compiled kernels, which do not bounds-check): the CSR
+    triple is validated and every index array is range-checked, and a
+    malformed archive raises :class:`~repro.errors.GraphError`.
+    """
     with np.load(path) as archive:
         degree_bound, kind_code = (int(v) for v in archive["meta"])
         kind = _KIND_NAMES[kind_code]
@@ -228,13 +234,11 @@ def load_artifact(path: str) -> TransformArtifact:
         weights = archive["weights"] if "weights" in archive.files else None
         if kind == "prepared":
             payload: Union[TransformResult, VirtualGraph, CSRGraph] = CSRGraph(
-                archive["offsets"], archive["targets"], weights, validate=False
+                archive["offsets"], archive["targets"], weights
             )
         elif kind == "udt":
             scalars = archive["scalars"]
-            graph = CSRGraph(
-                archive["offsets"], archive["targets"], weights, validate=False
-            )
+            graph = CSRGraph(archive["offsets"], archive["targets"], weights)
             stats = TransformStats(
                 degree_bound=int(scalars[1]),
                 num_families=int(scalars[2]),
@@ -250,10 +254,9 @@ def load_artifact(path: str) -> TransformArtifact:
                 num_original_nodes=int(scalars[0]),
                 stats=stats,
             )
+            _check_udt(payload)
         else:
-            physical = CSRGraph(
-                archive["offsets"], archive["targets"], weights, validate=False
-            )
+            physical = CSRGraph(archive["offsets"], archive["targets"], weights)
             payload = _rebuild_virtual(
                 physical,
                 degree_bound,
@@ -266,7 +269,65 @@ def load_artifact(path: str) -> TransformArtifact:
                 family_rank=np.ascontiguousarray(archive["family_rank"], NODE_DTYPE),
                 family_size=np.ascontiguousarray(archive["family_size"], NODE_DTYPE),
             )
+            _check_virtual(payload)
     return TransformArtifact(key=key, payload=payload, build_seconds=build_seconds)
+
+
+def _check_udt(result: TransformResult) -> None:
+    """Range-check a reloaded UDT result's provenance arrays."""
+    graph = result.graph
+    n = result.num_original_nodes
+    origin = result.node_origin
+    if not 0 <= n <= graph.num_nodes or len(origin) != graph.num_nodes:
+        raise GraphError("spilled udt artifact: node counts disagree")
+    if len(origin) and (origin.min() < 0 or origin.max() >= n):
+        raise GraphError(f"spilled udt artifact: node_origin outside [0, {n})")
+    if len(result.new_edge_mask) != graph.num_edges:
+        raise GraphError("spilled udt artifact: new_edge_mask length mismatch")
+
+
+def _check_virtual(virtual: VirtualGraph) -> None:
+    """Range-check a reloaded overlay so every edge slot is in bounds.
+
+    Each virtual node must belong to a real physical node, its family
+    layout must match that node's degree (which also keeps the slot
+    arithmetic below from overflowing on tampered values), and the
+    strided slots :meth:`VirtualGraph.edge_layout` derives from it must
+    stay inside that node's own CSR edge range.
+    """
+    n = virtual.physical.num_nodes
+    k = virtual.degree_bound
+    phys = virtual.physical_ids
+    count = len(phys)
+    first = virtual.first_virtual
+    rank, size = virtual.family_rank, virtual.family_size
+    degrees = virtual.virtual_degrees
+    if k < 1 or len(first) != n + 1 or any(
+        len(a) != count for a in (degrees, rank, size)
+    ):
+        raise GraphError("spilled virtual artifact: array shapes disagree")
+    if first.min() < 0 or first.max() > count:
+        raise GraphError(
+            f"spilled virtual artifact: first_virtual outside [0, {count}]"
+        )
+    if count == 0:
+        return
+    if phys.min() < 0 or phys.max() >= n:
+        raise GraphError(
+            f"spilled virtual artifact: physical_ids outside [0, {n})"
+        )
+    physical_degree = virtual.physical.out_degrees()[phys]
+    if (
+        np.any(size != -(-physical_degree // k))
+        or rank.min() < 0 or np.any(rank >= size)
+        or degrees.min() < 0 or np.any(degrees > physical_degree)
+    ):
+        raise GraphError("spilled virtual artifact: family layout disagrees "
+                         "with the physical degrees")
+    starts, counts, strides = virtual.edge_layout()
+    last = starts + (counts - 1) * strides
+    if np.any((counts > 0) & (last >= virtual.physical.offsets[phys + 1])):
+        raise GraphError("spilled virtual artifact: edge slots out of bounds")
 
 
 def _rebuild_virtual(

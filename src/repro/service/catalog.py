@@ -35,7 +35,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 from repro.core.udt import udt_transform
 from repro.core.virtual import virtual_transform
 from repro.core.weights import DumbWeight
-from repro.errors import ServiceError
+from repro.errors import GraphError, ServiceError
 from repro.graph.csr import CSRGraph
 from repro.service.artifacts import ArtifactKey, TransformArtifact, load_artifact
 from repro.service.economics import make_policy
@@ -425,8 +425,8 @@ class GraphCatalog:
             return None
         try:
             return load_artifact(path)
-        except (OSError, KeyError, ValueError):
-            # A corrupt spill file is a miss, not an outage.
+        except (OSError, KeyError, ValueError, GraphError):
+            # A corrupt or tampered spill file is a miss, not an outage.
             return None
 
     # ------------------------------------------------------------------

@@ -632,7 +632,10 @@ class AnalyticsService:
         Each request first charges one token against its tenant's
         quota; the first refusal raises :class:`QuotaExhaustedError`
         for the whole submission (tokens already charged for earlier
-        members stay spent — the caller is over budget either way).
+        members stay spent — the caller is over budget either way).  A
+        full queue raises :class:`ServiceOverloadError`; every request
+        it did not enqueue has its ticket cancelled and its token
+        refunded.
         """
         if self._stopped:
             raise ServiceError("service is stopped")
@@ -655,7 +658,8 @@ class AnalyticsService:
             r.request_id: QueryTicket(r, now, on_resolve=self._ticket_resolved)
             for r in requests
         }
-        for batch in group_requests(requests, self._resolve_graph):
+        batches = group_requests(requests, self._resolve_graph)
+        for index, batch in enumerate(batches):
             item = _WorkItem(
                 batch=batch,
                 tickets=[tickets[r.request_id] for r in batch.requests],
@@ -668,8 +672,13 @@ class AnalyticsService:
                     item, block=block, timeout=submit_timeout_s
                 )
             except queue.Full:
-                for ticket in item.tickets:
-                    ticket.cancel()
+                # nothing from here on was enqueued: resolve its tickets
+                # and refund its quota so the caller's retry is not
+                # billed twice
+                for unsent in batches[index:]:
+                    for request in unsent.requests:
+                        tickets[request.request_id].cancel()
+                        self.tenants.refund(request)
                 raise ServiceOverloadError(
                     f"submission queue full ({self._queue.maxsize} pending); "
                     f"retry later or raise queue_size"

@@ -49,7 +49,8 @@ class TokenBucket:
     """One token bucket: ``rate`` tokens/second refill up to ``burst``.
 
     The bucket starts full.  :meth:`take` spends one token when one is
-    available; ``clock`` is injectable so tests drive time by hand.
+    available and :meth:`refund` gives one back; ``clock`` is
+    injectable so tests drive time by hand.
     """
 
     __slots__ = ("rate", "burst", "_clock", "_lock", "_tokens", "_stamp")
@@ -79,6 +80,13 @@ class TokenBucket:
                 return 0.0
             self._tokens = tokens
             return (1.0 - tokens) / self.rate
+
+    def refund(self) -> None:
+        """Return one token spent on work that was never admitted."""
+        # capping before the pending refill is added on the next take()
+        # gives the same balance as capping after it
+        with self._lock:
+            self._tokens = min(self.burst, self._tokens + 1.0)
 
 
 @dataclass(frozen=True)
@@ -150,6 +158,16 @@ class TenantPolicy:
         """Non-raising admit: 0.0 on success, else seconds to wait."""
         bucket = self._buckets.get(tenant)
         return 0.0 if bucket is None else bucket.take()
+
+    def refund(self, request: QueryRequest) -> None:
+        """Give back the token :meth:`admit` charged for ``request``.
+
+        For submissions refused after admission (a full queue), so a
+        tenant is billed only for work the service accepted.
+        """
+        bucket = self._buckets.get(request.tenant)
+        if bucket is not None:
+            bucket.refund()
 
     # -- priorities ----------------------------------------------------
     def priority_for(self, request: QueryRequest) -> int:

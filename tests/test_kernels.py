@@ -1,13 +1,12 @@
-"""Kernel-backend registry and cost-model tests.
+"""Kernel-backend selection, parity, and cost-model tests.
 
-This module is the parity fixture every entry in
-``repro.core.applicability.KERNEL_BACKEND_EXPECTATIONS`` points at
-(rule KERN001): for each JIT backend available on this machine it
-asserts bitwise equality with the numpy baseline on every engine
-(push, pull, lanes, adaptive) and every certified program family —
-and that the fused path actually *engaged*, so a silently-declining
-backend cannot pass as "equal".  The cost model's calibration cache
-and strategy predictions are covered here too.
+This module is the parity proof for the ``cjit`` backend: when a C
+compiler is available it asserts bitwise equality with the numpy
+baseline on every engine (push, pull, lanes, adaptive) and every
+certified program family — and that the fused path actually
+*engaged*, so a silently-declining backend cannot pass as "equal".
+Backend resolution, the cost model's calibration cache, and its
+strategy predictions are covered here too.
 """
 
 from __future__ import annotations
@@ -31,11 +30,10 @@ from repro.algorithms.programs import (
 )
 from repro.algorithms.sssp import sssp
 from repro.algorithms.sswp import sswp
-from repro.core.applicability import KERNEL_BACKEND_EXPECTATIONS
 from repro.engine import costmodel, kernels
 from repro.engine.adaptive import AdaptiveOptions, run_adaptive
 from repro.engine.pull import run_pull
-from repro.engine.push import EngineOptions, run_push, run_push_lanes
+from repro.engine.push import EngineOptions, run_push
 from repro.engine.schedule import NodeScheduler
 from repro.errors import EngineError
 from repro.graph.generators import rmat
@@ -44,8 +42,8 @@ from repro.service import replay_trace
 TRACES = Path(__file__).parent / "traces"
 
 #: JIT backends this machine can actually run; parametrizing over the
-#: list keeps the suite green on boxes with no compiler and no numba.
-JITS = kernels.jit_backends()
+#: list keeps the suite green on boxes with no C compiler.
+JITS = ["cjit"] if kernels.CJIT_BACKEND.is_available() else []
 
 
 @pytest.fixture
@@ -77,21 +75,12 @@ def _values(algorithm, graph, backend):
 
 
 class TestRegistry:
-    def test_core_backends_registered(self):
-        assert {"numpy", "cjit", "numba"} <= set(kernels.registered_backends())
-
-    def test_every_backend_is_certified(self):
-        # the runtime half of rule KERN001
-        for name in kernels.registered_backends():
-            expectation = KERNEL_BACKEND_EXPECTATIONS[name]
-            assert expectation.parity_fixture
-            assert expectation.jit == kernels.get_backend(name).jit
-
     def test_unknown_backend_fails_loudly(self):
-        with pytest.raises(EngineError, match="unknown kernel backend"):
-            kernels.get_backend("simd-unproven")
-        with pytest.raises(EngineError, match="unknown kernel backend"):
-            kernels.resolve_backend("simd-unproven")
+        for name in ("numba", "simd-unproven"):
+            with pytest.raises(EngineError, match="unknown kernel backend"):
+                kernels.get_backend(name)
+            with pytest.raises(EngineError, match="unknown kernel backend"):
+                kernels.resolve_backend(name)
 
     def test_numpy_backend_declines_everything(self, graph):
         backend = kernels.get_backend("numpy")
@@ -100,28 +89,41 @@ class TestRegistry:
         assert backend.engaged == before  # base class never engages
         assert np.isfinite(values).any()
 
+    @pytest.mark.skipif(not JITS, reason="no C compiler for cjit")
+    def test_auto_picks_cjit_from_jit_min_edges(
+        self, monkeypatch, fresh_profile
+    ):
+        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
+        costmodel.set_profile(costmodel.BUILTIN_PROFILE)
+        threshold = costmodel.BUILTIN_PROFILE.jit_min_edges
+        assert kernels.resolve_backend(edges=threshold - 1).name == "numpy"
+        assert kernels.resolve_backend(edges=threshold).name == "cjit"
+
+    @pytest.mark.skipif(not JITS, reason="no C compiler for cjit")
+    def test_profile_measuring_cjit_slower_keeps_auto_on_numpy(
+        self, monkeypatch, fresh_profile
+    ):
+        from dataclasses import replace
+
+        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
+        profile = costmodel.BUILTIN_PROFILE
+        costmodel.set_profile(replace(
+            profile,
+            backend_edges_per_s={"numpy": 2e8, "cjit": 1e8},
+        ))
+        assert kernels.resolve_backend(edges=10**9).name == "numpy"
+
     def test_unavailable_backend_degrades_to_numpy(self, monkeypatch):
-        class MissingBackend(kernels.KernelBackend):
-            name = "missing-for-test"
-            jit = True
-
-            def is_available(self):
-                return False
-
-            def availability_note(self):
-                return "simulated absence"
-
-        monkeypatch.setitem(
-            kernels._REGISTRY, "missing-for-test", MissingBackend()
-        )
+        monkeypatch.setattr(kernels, "_find_cc", lambda: None)
+        monkeypatch.setitem(kernels._BACKENDS, "cjit", kernels.CJitBackend())
         monkeypatch.setattr(kernels, "_warned_unavailable", set())
-        with pytest.warns(RuntimeWarning, match="simulated absence"):
-            backend = kernels.resolve_backend("missing-for-test")
+        with pytest.warns(RuntimeWarning, match="no C compiler"):
+            backend = kernels.resolve_backend("cjit")
         assert backend.name == "numpy"
         # the warning fires once, not per launch
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert kernels.resolve_backend("missing-for-test").name == "numpy"
+            assert kernels.resolve_backend("cjit").name == "numpy"
 
     def test_env_var_drives_default_resolution(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
@@ -149,42 +151,7 @@ class TestSpecFor:
         assert kernels.spec_for(FilteredSSSP()) is None
 
 
-class TestNumbaImportBlock:
-    """The numba backend must degrade, not crash, when numba is absent.
-
-    The block is simulated by failing the module-finder probe, so the
-    test is meaningful both on machines without numba (tier-1) and in
-    the CI kernels job where numba is installed.
-    """
-
-    def test_absent_numba_reports_unavailable(self, monkeypatch):
-        import importlib.util
-
-        backend = kernels.NumbaBackend()
-
-        def missing(name, *args, **kwargs):
-            if name == "numba":
-                return None
-            return importlib.util.find_spec(name, *args, **kwargs)
-
-        monkeypatch.setattr(importlib.util, "find_spec", missing)
-        assert not backend.is_available()
-        assert "not installed" in backend.availability_note()
-
-    def test_engines_fall_back_when_numba_requested_but_absent(
-        self, graph, monkeypatch
-    ):
-        backend = kernels.NumbaBackend()
-        monkeypatch.setattr(backend, "is_available", lambda: False)
-        monkeypatch.setitem(kernels._REGISTRY, "numba", backend)
-        monkeypatch.setattr(kernels, "_warned_unavailable", set())
-        with pytest.warns(RuntimeWarning, match="falling back to numpy"):
-            values = _values("sssp", graph, "numba")
-        baseline = _values("sssp", graph, "numpy")
-        np.testing.assert_array_equal(values, baseline)
-
-
-@pytest.mark.skipif(not JITS, reason="no JIT kernel backend available")
+@pytest.mark.skipif(not JITS, reason="no C compiler for cjit")
 class TestJitParity:
     """Bitwise parity of every available JIT backend with numpy."""
 
@@ -409,7 +376,3 @@ class TestCostModelPredictions:
         assert profile.choose_kernel_backend(
             edges=self.BIG, candidates=("numpy",)
         ) == "numpy"
-        # a backend calibration never measured is assumed 2x numpy
-        assert profile.choose_kernel_backend(
-            edges=self.BIG, candidates=("numba", "numpy")
-        ) == "numba"

@@ -9,7 +9,7 @@ from repro.algorithms import sssp
 from repro.core.udt import udt_transform
 from repro.core.virtual import virtual_transform
 from repro.core.weights import DumbWeight
-from repro.errors import ServiceError
+from repro.errors import GraphError, ServiceError
 from repro.graph.generators import rmat
 from repro.service import (
     ArtifactKey,
@@ -235,6 +235,50 @@ class TestDiskSpill:
         key = ArtifactKey.for_transform(graph, "virtual+", 10)
         (tmp_path / key.filename()).write_bytes(b"not an npz")
         catalog.get_or_build(graph, "virtual+", 10)
+        assert catalog.stats.builds == 1
+        assert catalog.stats.disk_hits == 0
+
+    @pytest.mark.parametrize(
+        "kind, field",
+        [
+            ("prepared", "targets"),
+            ("udt", "targets"),
+            ("udt", "node_origin"),
+            ("virtual+", "targets"),
+            ("virtual", "physical_ids"),
+            ("virtual+", "first_virtual"),
+            ("virtual", "virtual_degrees"),
+            ("virtual", "family_rank"),
+            ("virtual+", "family_size"),
+        ],
+    )
+    def test_out_of_range_spill_is_refused_and_rebuilt(
+        self, graph, tmp_path, kind, field
+    ):
+        """A tampered index must never reach the compiled kernels."""
+        catalog = GraphCatalog(spill_dir=str(tmp_path))
+        if kind == "prepared":
+            key = ArtifactKey.for_prepared(graph, symmetrize=False, weighted=True)
+
+            def build():
+                return TransformArtifact(key, graph, build_seconds=0.0)
+        else:
+            key = ArtifactKey.for_transform(graph, kind, 4)
+
+            def build():
+                return catalog._build(graph, key)
+        path = tmp_path / key.filename()
+        build().save_npz(str(path))
+        load_artifact(str(path))  # the honest spill loads
+        with np.load(path) as archive:
+            arrays = dict(archive)
+        arrays[field][-1] = 10**6  # one index far out of range
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(GraphError):
+            load_artifact(str(path))
+
+        _, origin = catalog.get_for_key(key, build)
+        assert origin == "built"
         assert catalog.stats.builds == 1
         assert catalog.stats.disk_hits == 0
 

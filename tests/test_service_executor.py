@@ -197,6 +197,45 @@ class TestConcurrency:
             blocker.set()
             assert first.result(10).ok and second.result(10).ok
 
+    def test_overloaded_batch_resolves_every_unsent_ticket(
+        self, graph, tmp_path
+    ):
+        """Items after the one that hit a full queue are cancelled too,
+        so a recorded trace has a result line for every request line."""
+        from repro.service import TraceRecorder, load_trace
+
+        path = tmp_path / "t.jsonl"
+        recorder = TraceRecorder(str(path), graphs={})
+        with AnalyticsService(
+            workers=1, queue_size=1, backend="threads", recorder=recorder
+        ) as service:
+            service.register("g", graph)
+            service.register("h", rmat(64, 256, seed=2))
+            blocker, entered = threading.Event(), threading.Event()
+            original = service._prepare
+
+            def slow_prepare(g, algorithm):
+                entered.set()
+                blocker.wait(10)
+                return original(g, algorithm)
+
+            service._prepare = slow_prepare
+            first = service.submit(QueryRequest.single("bfs", "g", 0))
+            assert entered.wait(10)
+            second = service.submit(QueryRequest.single("bfs", "g", 1))
+            with pytest.raises(ServiceError, match="queue full"):
+                service.submit_batch(
+                    [QueryRequest.single("bfs", "g", 2),
+                     QueryRequest.single("bfs", "h", 3)],
+                    block=False,
+                )
+            blocker.set()
+            assert first.result(10).ok and second.result(10).ok
+        recorder.close()
+        trace = load_trace(str(path))
+        assert len(trace.requests) == 4
+        assert len(trace.results) == 4
+
     def test_queue_depth_tracked(self, service):
         service.run(QueryRequest.single("bfs", "g", 0))
         assert service.metrics.max_queue_depth >= 1

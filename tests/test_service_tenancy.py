@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import QuotaExhaustedError, ServiceError
+from repro.errors import QuotaExhaustedError, ServiceError, ServiceOverloadError
 from repro.graph.generators import rmat
 from repro.service import (
     AnalyticsService,
@@ -26,7 +26,7 @@ from repro.service import (
     parse_priority_arg,
     parse_quota_arg,
 )
-from repro.service.tenancy import PriorityWorkQueue
+from repro.service.tenancy import PriorityWorkQueue, TokenBucket
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -83,6 +83,52 @@ class TestQuotas:
             assert service.metrics.summary()["quota_rejected"] == 1
             # other tenants are unaffected
             assert service.run(QueryRequest.single("bfs", "g", 2)).ok
+
+    def test_overloaded_submission_refunds_its_token(
+        self, graph, backend, monkeypatch
+    ):
+        """A full queue refuses the work, so it must not keep the token."""
+        policy = TenantPolicy(
+            quotas={"t": TenantQuota(rate=1e-9, burst=1.0)},
+            clock=lambda: 0.0,  # frozen: no token ever refills
+        )
+        entered, gate = threading.Event(), threading.Event()
+        original = AnalyticsService._run_batch
+
+        def held(self, batch, remaining_s):
+            if batch.requests[0].tenant == "":
+                entered.set()
+                gate.wait(30)
+            return original(self, batch, remaining_s)
+
+        monkeypatch.setattr(AnalyticsService, "_run_batch", held)
+        with AnalyticsService(
+            workers=1, queue_size=1, backend=backend, tenants=policy
+        ) as service:
+            service.register("g", graph)
+            running = service.submit(QueryRequest.single("bfs", "g", 0))
+            assert entered.wait(30)
+            queued = service.submit(QueryRequest.single("bfs", "g", 1))
+            with pytest.raises(ServiceOverloadError):
+                service.submit(
+                    QueryRequest.single("bfs", "g", 2, tenant="t"),
+                    block=False,
+                )
+            gate.set()
+            assert running.result(timeout=60).ok
+            assert queued.result(timeout=60).ok
+            retry = service.submit(
+                QueryRequest.single("bfs", "g", 2, tenant="t")
+            )
+            assert retry.result(timeout=60).ok
+            assert service.metrics.summary()["quota_rejected"] == 0
+
+    def test_refund_is_capped_at_burst(self):
+        bucket = TokenBucket(rate=1e-9, burst=2.0, clock=lambda: 0.0)
+        bucket.refund()  # already full: nothing to give back
+        assert bucket.take() == 0.0
+        assert bucket.take() == 0.0
+        assert bucket.take() > 0.0
 
     def test_http_maps_quota_to_429(self):
         from repro.service.api.protocol import error_response
